@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.datagen.{ClocLite, CriteoLite}
 import repro.selector.{SelectedSample, TriggerSampleStorage, TriggerTrainingSet}
-import repro.storage.{LocalFileSystemWrapper, SampleMeta, SampleRegistry, StorageService}
+import repro.storage.{FileWrapperType, LocalFileSystemWrapper, SampleMeta, SampleRegistry, StorageService}
 import repro.trainer._
 
 /** A generated corpus wired into the storage stack, plus trigger training
@@ -74,32 +74,20 @@ object Harness {
                       parser: BytesParser, transform: Transform,
                       model: Model): ThroughputResult = {
     val tts = corpus.triggerByPartitionSize(partitionSize)
-    val ds  = new OnlineDataset(new TssSource(tts), corpus.storage, parser, transform, cfg)
-    var n   = 0L
-    val start = System.nanoTime()
-    ds.batches().foreach { b =>
-      model.trainBatch(b.features, b.labels, b.weights)
-      n += b.size
-    }
-    ThroughputResult(n, (System.nanoTime() - start) / 1000000L)
+    train(new OnlineDataset(new TssSource(tts), corpus.storage, parser, transform, cfg)
+      .batches(), model)
   }
 
   /** The §5.1.1 baseline: same training loop, but a local dataset reading
-    * the binary files sequentially — no selector, no per-key retrieval.
+    * the data files (in `format`) sequentially — no selector, no per-key
+    * retrieval.
     */
-  def localThroughput(corpus: Corpus, recordSize: Int, numWorkers: Int, batchSize: Int,
+  def localThroughput(corpus: Corpus, format: FileWrapperType, numWorkers: Int, batchSize: Int,
                       parser: BytesParser, transform: Transform,
                       model: Model): ThroughputResult = {
     val files = fs.list(corpus.dataDir).filterNot(_.endsWith(".label"))
-    val ds = new LocalFileDataset(fs, files, recordSize, parser, transform,
-      numWorkers, batchSize)
-    var n = 0L
-    val start = System.nanoTime()
-    ds.batches().foreach { b =>
-      model.trainBatch(b.features, b.labels, b.weights)
-      n += b.size
-    }
-    ThroughputResult(n, (System.nanoTime() - start) / 1000000L)
+    train(new LocalFileDataset(fs, files, format, parser, transform, numWorkers, batchSize)
+      .batches(), model)
   }
 
   /** Local baseline for single-sample-file datasets (CLOC): workers read
@@ -107,43 +95,19 @@ object Harness {
     */
   def localSingleSampleThroughput(corpus: Corpus, numWorkers: Int, batchSize: Int,
                                   parser: BytesParser, transform: Transform,
-                                  model: Model): ThroughputResult = {
-    import java.util.concurrent.ArrayBlockingQueue
-    val files = fs.list(corpus.dataDir).filterNot(_.endsWith(".label"))
-    val queues = IndexedSeq.fill(numWorkers)(new ArrayBlockingQueue[AnyRef](4 * batchSize))
-    object Done
-    val assignment = files.zipWithIndex.groupMap(_._2 % numWorkers)(_._1)
-    (0 until numWorkers).foreach { w =>
-      val t = new Thread(() => {
-        try assignment.getOrElse(w, Seq.empty).foreach { path =>
-          val x = transform(parser.parse(fs.readAll(path)))
-          val y = new String(fs.readAll(path + ".label")).trim.toInt
-          queues(w).put((x, y))
-        } finally queues(w).put(Done)
-      })
-      t.setDaemon(true); t.start()
-    }
+                                  model: Model): ThroughputResult =
+    localThroughput(corpus, FileWrapperType.SingleSample, numWorkers, batchSize, parser,
+      transform, model)
+
+  /** The timed training loop shared by every throughput measurement; the
+    * clock starts before `batches` is started.
+    */
+  private def train(batches: => Iterator[TrainBatch], model: Model): ThroughputResult = {
     var n = 0L
     val start = System.nanoTime()
-    var active = (0 until numWorkers).toBuffer
-    while (active.nonEmpty) {
-      val w  = active.head
-      val xs = Array.newBuilder[Array[Float]]
-      val ys = Array.newBuilder[Int]
-      var c  = 0
-      var done = false
-      while (c < batchSize && !done) {
-        queues(w).take() match {
-          case Done => done = true
-          case (x: Array[Float], y: Int) => xs += x; ys += y; c += 1
-          case other => throw new IllegalStateException(s"unexpected $other")
-        }
-      }
-      if (done) active.remove(0) else { active.remove(0); active.append(w) }
-      if (c > 0) {
-        model.trainBatch(xs.result(), ys.result(), Array.fill(c)(1.0))
-        n += c
-      }
+    batches.foreach { b =>
+      model.trainBatch(b.features, b.labels, b.weights)
+      n += b.size
     }
     ThroughputResult(n, (System.nanoTime() - start) / 1000000L)
   }

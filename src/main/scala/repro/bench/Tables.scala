@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.datagen.{ClocLite, CriteoLite}
 import repro.selector.{DuckDbBackend, LocalBinaryBackend, SeenSample}
+import repro.storage.FileWrapperType
 import repro.trainer._
 
 /** Generates the reproduction's evaluation tables (T1–T3, T6). Each method
@@ -76,7 +77,8 @@ object Tables {
     // Untimed warmups of both code paths (JIT).
     Harness.modynThroughput(corpus, largePart, OnlineDatasetConfig(4, batchSize, 1, 1, 1),
       parser, IdentityTransform, Harness.criteoModel(128))
-    Harness.localThroughput(corpus, CriteoLite.RecordSize, 4, batchSize, parser,
+    val format = FileWrapperType.Binary(CriteoLite.RecordSize)
+    Harness.localThroughput(corpus, format, 4, batchSize, parser,
       IdentityTransform, Harness.criteoModel(128))
     val sb     = new StringBuilder
     sb ++= "== T2 (Fig. 8a): best Modyn vs local sequential baseline, Criteo-lite ==\n"
@@ -92,7 +94,7 @@ object Tables {
         OnlineDatasetConfig(w, batchSize, b, p, st), parser,
         IdentityTransform, Harness.criteoModel(128)).kOpsPerSec
       val best  = candidates.max
-      val local = Harness.localThroughput(corpus, CriteoLite.RecordSize, w, batchSize,
+      val local = Harness.localThroughput(corpus, format, w, batchSize,
         parser, IdentityTransform, Harness.criteoModel(128)).kOpsPerSec
       sb ++= f"$w%8d $best%14.1f $local%14.1f ${best / local * 100}%11.1f%%\n"
       w -> (best, local)

@@ -132,11 +132,13 @@ final class Supervisor(pipeline: PipelineConfig, registry: SampleRegistry,
     PipelineReport(pipeline.pipelineName, reports.result())
   }
 
-  /** Stream an eval set's (features, label) pairs through storage+parser. */
+  /** Stream an eval set's (features, label) pairs through storage, parser
+    * and the pipeline transform — the feature space the model trained in.
+    */
   private def evalFeatures(set: EvalSet, parser: BytesParser): Iterator[(Array[Float], Int)] =
     storage.retrieve(set.keys, nThreads = 4).flatMap { chunk =>
       (0 until chunk.size).iterator.map { i =>
-        (parser.parse(chunk.payloads(i)), chunk.labels(i).toInt)
+        (transform(parser.parse(chunk.payloads(i))), chunk.labels(i).toInt)
       }
     }
 }

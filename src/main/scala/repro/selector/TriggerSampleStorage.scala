@@ -99,10 +99,6 @@ final class TriggerSampleStorage(fs: FileSystemWrapper, baseDir: String) {
     readRange(files, sizes, 0L, sizes.sum)
   }
 
-  /** Every record of the whole trigger training set, partition order. */
-  def readTrigger(triggerId: Int): IndexedSeq[SelectedSample] =
-    (0 until numPartitions(triggerId)).flatMap(readPartition(triggerId, _))
-
   private def readRange(files: Seq[String], sizes: Seq[Long],
                         start: Long, end: Long): IndexedSeq[SelectedSample] = {
     val out = IndexedSeq.newBuilder[SelectedSample]

@@ -143,7 +143,9 @@ final class SingleSampleFileWrapper(fs: FileSystemWrapper, path: String)
 /** Identifies which wrapper to instantiate for a stored file. */
 sealed trait FileWrapperType
 object FileWrapperType {
-  final case class Binary(recordSize: Int)           extends FileWrapperType
+  final case class Binary(recordSize: Int)           extends FileWrapperType {
+    require(recordSize > 4, s"recordSize must exceed the 4-byte label, got $recordSize")
+  }
   final case class Csv(labelColumn: Int, delimiter: Char = ',') extends FileWrapperType
   case object SingleSample                           extends FileWrapperType
 

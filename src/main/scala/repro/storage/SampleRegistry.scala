@@ -2,9 +2,8 @@ package repro.storage
 
 import java.sql.{Connection, DriverManager}
 import java.util.concurrent.atomic.AtomicLong
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.duckdb.DuckDBConnection
-import scala.collection.mutable
+import scala.collection.concurrent.TrieMap
 
 /** Metadata row for one ingested sample. Keys are globally unique and
   * strictly increasing in ingestion order, matching Modyn's storage
@@ -24,9 +23,6 @@ final case class FileMeta(fileId: Int, path: String, wrapperType: FileWrapperTyp
   * metadata; retrieval resolves arbitrary key sets to (file, offset) pairs
   * with a join against a temp key table, whose cost scales with the number
   * of requested keys — the effect measured in §5.1.1.
-  *
-  * A Parquet mirror ([[mirrorToParquet]]) exposes the same metadata as a
-  * growing Spark-scannable dataset for the selector's Spark-side policies.
   */
 final class SampleRegistry extends AutoCloseable {
   Class.forName("org.duckdb.DuckDBDriver")
@@ -44,7 +40,8 @@ final class SampleRegistry extends AutoCloseable {
 
   private val nextKey    = new AtomicLong(1L)
   private val nextFileId = new AtomicLong(0L)
-  private val filesById  = mutable.Map.empty[Int, FileMeta]
+  // Written by ingestion, read by concurrent retrieval threads.
+  private val filesById  = TrieMap.empty[Int, FileMeta]
   private val tempSeq    = new AtomicLong(0L)
 
   /** Fresh connection sharing the same in-process database — one per
@@ -81,7 +78,7 @@ final class SampleRegistry extends AutoCloseable {
                         labels: IndexedSeq[Long],
                         timestampOf: Int => Long = _ => 0L): IndexedSeq[SampleMeta] = {
     val fileId = nextFileId.getAndIncrement().toInt
-    filesById.synchronized { filesById(fileId) = FileMeta(fileId, path, wrapperType) }
+    filesById(fileId) = FileMeta(fileId, path, wrapperType)
 
     val fs = rootConn.prepareStatement("INSERT INTO files VALUES (?, ?)")
     fs.setInt(1, fileId); fs.setString(2, path); fs.executeUpdate(); fs.close()
@@ -103,7 +100,7 @@ final class SampleRegistry extends AutoCloseable {
   }
 
   /** Delete samples by key (GDPR-style removal, §2.1). Deleted samples
-    * disappear from lookups and from subsequent Parquet mirrors.
+    * disappear from lookups and from the replay order.
     */
   def deleteSamples(keys: Seq[Long]): Int = {
     val ps = rootConn.prepareStatement("DELETE FROM samples WHERE key = ?")
@@ -153,17 +150,6 @@ final class SampleRegistry extends AutoCloseable {
       out += SampleMeta(rs.getLong(1), rs.getInt(2), rs.getInt(3), rs.getLong(4), rs.getLong(5))
     rs.close(); st.close()
     out.result()
-  }
-
-  /** Mirror the sample metadata into a Parquet dataset at `dir`, overwriting
-    * any previous mirror. Selector policies scan this with Spark SQL.
-    */
-  def mirrorToParquet(spark: SparkSession, dir: String): DataFrame = {
-    import spark.implicits._
-    val rows = allSamplesByTime().map(m => (m.key, m.fileId, m.indexInFile, m.label, m.timestampSec))
-    val df = rows.toDF("key", "file_id", "idx", "label", "ts")
-    df.write.mode("overwrite").parquet(dir)
-    spark.read.parquet(dir)
   }
 
   override def close(): Unit = rootConn.close()

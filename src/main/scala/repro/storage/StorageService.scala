@@ -84,15 +84,6 @@ final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
     }
   }
 
-  /** Convenience: retrieve and concatenate everything (tests, small sets). */
-  def retrieveAll(keys: Array[Long], nThreads: Int = 1): PayloadBatch = {
-    val batches  = retrieve(keys, nThreads).toIndexedSeq
-    PayloadBatch(
-      batches.flatMap(_.keys).toArray,
-      batches.flatMap(_.payloads).toArray,
-      batches.flatMap(_.labels).toArray)
-  }
-
   /** One retrieval thread's work: metadata join, then file-by-file extraction
     * into send buffers.
     */

@@ -1,7 +1,7 @@
 package repro.trainer
 
-import java.util.concurrent.{ArrayBlockingQueue, LinkedBlockingQueue, Semaphore}
-import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
+import java.util.concurrent.{LinkedBlockingQueue, Semaphore}
+import java.util.concurrent.atomic.AtomicInteger
 import repro.selector.TriggerTrainingSet
 import repro.storage.StorageService
 import scala.collection.mutable
@@ -86,97 +86,80 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
                           parser: BytesParser, transform: Transform,
                           cfg: OnlineDatasetConfig) {
 
-  private final case class Sample(key: Long, x: Array[Float], label: Int, weight: Double)
   /** A raw storage chunk plus the weight of each key in the worker share;
     * parsing happens in the worker's *main* thread (§4.2.1), never in the
     * prefetch threads.
     */
   private final case class RawChunk(chunk: repro.storage.PayloadBatch,
                                     weightOf: mutable.LongMap[Double])
-  private object WorkerDone
   private object PartitionDone
 
   /** Iterate the trigger training set once as training batches. The
     * iterator must be fully consumed; worker errors are rethrown here.
     */
-  def batches(): Iterator[TrainBatch] = {
-    val failure = new AtomicReference[Throwable](null)
-    val queues  = IndexedSeq.fill(cfg.numWorkers)(
-      new ArrayBlockingQueue[AnyRef](math.max(64, 4 * cfg.batchSize)))
-
-    (0 until cfg.numWorkers).foreach { w =>
-      val t = new Thread(() => runWorker(w, queues(w), failure), s"online-dataset-worker-$w")
-      t.setDaemon(true)
-      t.start()
-    }
-    assemble(queues, failure)
-  }
+  def batches(): Iterator[TrainBatch] =
+    WorkerBatches(cfg.numWorkers, cfg.batchSize, "online-dataset-worker")(runWorker)
 
   /** Worker main loop: produce parsed samples of this worker's share of
     * every partition, in partition order, into `out`.
     */
-  private def runWorker(workerId: Int, out: ArrayBlockingQueue[AnyRef],
-                        failure: AtomicReference[Throwable]): Unit = {
-    try {
-      val nParts = source.numPartitions
-      if (cfg.prefetchedPartitions == 0) {
-        // No prefetching: blocking fetch of the whole partition share,
-        // then parse — no fetch/compute overlap, like a dataloader
-        // without the prefetch machinery.
-        var p = 0
-        while (p < nParts && failure.get() == null) {
-          val raws = fetchChunks(workerId, p).toIndexedSeq
-          raws.foreach(r => parseInto(r, out))
-          p += 1
-        }
-      } else {
-        val chunkQueues = IndexedSeq.fill(nParts)(new LinkedBlockingQueue[AnyRef]())
-        val permits     = new Semaphore(cfg.prefetchedPartitions)
-        val nextPart    = new AtomicInteger(0)
-        (0 until cfg.parallelPrefetchRequests).foreach { pf =>
-          val t = new Thread(() => {
-            try {
-              var running = true
-              while (running && failure.get() == null) {
-                permits.acquire()
-                val p = nextPart.getAndIncrement()
-                if (p >= nParts) { permits.release(); running = false }
-                else {
-                  // Prefetch threads move raw bytes only; parsing stays on
-                  // the worker's main thread (§4.2.1). Chunks stream into
-                  // the buffer as they arrive so consumption can start
-                  // before the partition finishes transferring.
-                  try fetchChunks(workerId, p).foreach(chunkQueues(p).put(_))
-                  finally chunkQueues(p).put(PartitionDone)
-                }
-              }
-            } catch {
-              case e: Throwable =>
-                failure.compareAndSet(null, e)
-                // Unblock the consumer on every not-yet-finished partition.
-                chunkQueues.foreach(_.put(PartitionDone))
-            }
-          }, s"prefetch-$workerId-$pf")
-          t.setDaemon(true)
-          t.start()
-        }
-        var p = 0
-        while (p < nParts && failure.get() == null) {
-          var done = false
-          while (!done) {
-            chunkQueues(p).take() match {
-              case PartitionDone => done = true
-              case r: RawChunk   => parseInto(r, out)
-              case other         => throw new IllegalStateException(s"unexpected $other")
-            }
-          }
-          permits.release() // partition consumed: free its buffer slot
-          p += 1
-        }
+  private def runWorker(workerId: Int, out: WorkerBatches.Emitter): Unit = {
+    val nParts = source.numPartitions
+    if (cfg.prefetchedPartitions == 0) {
+      // No prefetching: blocking fetch of the whole partition share,
+      // then parse — no fetch/compute overlap, like a dataloader
+      // without the prefetch machinery.
+      var p = 0
+      while (p < nParts && !out.failed) {
+        val raws = fetchChunks(workerId, p).toIndexedSeq
+        raws.foreach(r => parseInto(r, out))
+        p += 1
       }
-    } catch {
-      case e: Throwable => failure.compareAndSet(null, e)
-    } finally out.put(WorkerDone)
+    } else {
+      val chunkQueues = IndexedSeq.fill(nParts)(new LinkedBlockingQueue[AnyRef]())
+      val permits     = new Semaphore(cfg.prefetchedPartitions)
+      val nextPart    = new AtomicInteger(0)
+      (0 until cfg.parallelPrefetchRequests).foreach { pf =>
+        val t = new Thread(() => {
+          try {
+            var running = true
+            while (running && !out.failed) {
+              permits.acquire()
+              val p = nextPart.getAndIncrement()
+              if (p >= nParts) { permits.release(); running = false }
+              else {
+                // Prefetch threads move raw bytes only; parsing stays on
+                // the worker's main thread (§4.2.1). Chunks stream into
+                // the buffer as they arrive so consumption can start
+                // before the partition finishes transferring.
+                try fetchChunks(workerId, p).foreach(chunkQueues(p).put(_))
+                finally chunkQueues(p).put(PartitionDone)
+              }
+            }
+          } catch {
+            case e: Throwable =>
+              out.fail(e)
+              // Unblock the consumer on every not-yet-finished partition.
+              chunkQueues.foreach(_.put(PartitionDone))
+          }
+        }, s"prefetch-$workerId-$pf")
+        t.setDaemon(true)
+        t.start()
+      }
+      var p = 0
+      while (p < nParts && !out.failed) {
+        var done = false
+        while (!done) {
+          chunkQueues(p).take() match {
+            case PartitionDone => done = true
+            case r: RawChunk   => parseInto(r, out)
+            case other         => throw new IllegalStateException(s"unexpected $other")
+          }
+        }
+        permits.release() // partition consumed: free its buffer slot
+        p += 1
+      }
+    }
   }
 
   /** Fetch this worker's share of one partition as raw payload chunks:
@@ -197,56 +180,13 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
   /** Apply the bytes parser + transformations to one raw chunk and emit
     * the samples — always on the worker's main thread.
     */
-  private def parseInto(raw: RawChunk, out: ArrayBlockingQueue[AnyRef]): Unit = {
+  private def parseInto(raw: RawChunk, out: WorkerBatches.Emitter): Unit = {
     val c = raw.chunk
     var i = 0
     while (i < c.size) {
       val x = transform(parser.parse(c.payloads(i)))
-      out.put(Sample(c.keys(i), x, c.labels(i).toInt, raw.weightOf(c.keys(i))))
+      out.emit(c.keys(i), x, c.labels(i).toInt, raw.weightOf(c.keys(i)))
       i += 1
     }
   }
-
-  /** Round-robin batch assembly across workers (§4.2.1): take up to
-    * `batchSize` samples from one worker, yield the batch, move to the
-    * next; a worker that finishes yields its final partial batch and
-    * leaves the rotation.
-    */
-  private def assemble(queues: IndexedSeq[ArrayBlockingQueue[AnyRef]],
-                       failure: AtomicReference[Throwable]): Iterator[TrainBatch] =
-    new Iterator[TrainBatch] {
-      private val active    = mutable.Queue.empty[Int] ++ queues.indices
-      private var nextBatch = fetchNext()
-
-      private def fetchNext(): Option[TrainBatch] = {
-        while (active.nonEmpty) {
-          val w       = active.dequeue()
-          val keys    = Array.newBuilder[Long]
-          val xs      = Array.newBuilder[Array[Float]]
-          val ys      = Array.newBuilder[Int]
-          val ws      = Array.newBuilder[Double]
-          var n       = 0
-          var done    = false
-          while (n < cfg.batchSize && !done) {
-            queues(w).take() match {
-              case WorkerDone => done = true
-              case s: Sample  =>
-                keys += s.key; xs += s.x; ys += s.label; ws += s.weight; n += 1
-              case other => throw new IllegalStateException(s"unexpected $other")
-            }
-          }
-          if (!done) active.enqueue(w)
-          if (n > 0) return Some(TrainBatch(keys.result(), xs.result(), ys.result(), ws.result()))
-        }
-        if (failure.get() != null) throw failure.get()
-        None
-      }
-
-      override def hasNext: Boolean = nextBatch.isDefined
-      override def next(): TrainBatch = {
-        val b = nextBatch.get
-        nextBatch = fetchNext()
-        b
-      }
-    }
 }

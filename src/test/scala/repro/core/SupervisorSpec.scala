@@ -4,7 +4,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.TestUtil.withTmpDir
 import repro.datagen.{ClocLite, CriteoLite}
+import repro.evaluator.Evaluator
+import repro.modelstorage.ModelStorage
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
+import repro.trainer.{ModelFactory, NormalizeTransform}
 
 class SupervisorSpec extends SparkSpec {
   private val fs = new LocalFileSystemWrapper
@@ -156,6 +159,34 @@ class SupervisorSpec extends SparkSpec {
       (0 until 3).foreach { i =>
         val w = ms.load(i)
         assert(w.length == 6 * 16 + 6)
+      }
+      registry.close()
+    }
+  }
+
+  test("evaluation applies the pipeline transform, like training") {
+    withTmpDir { dir =>
+      val registry = new SampleRegistry
+      val metas = ClocLite.generate(fs, registry, s"$dir/data", 40, 4, 16, years = 2004 to 2006)
+      val storage = new StorageService(registry, fs)
+      val p = clocPipeline("local")
+      val t = new NormalizeTransform(3f, 0.5f)
+      val sup = new Supervisor(p, registry, storage, fs, s"$dir/work", transform = t)
+      val evalSets = Supervisor.yearlyEvalSets(metas)
+      val report = sup.runExperiment(replayBatchSize = 25, evalSets = evalSets,
+        trailingTrigger = true)
+      val parser = ModelFactory.bytesParser(p.bytesParser, p.modelConfig)
+      val models = new ModelStorage(fs, s"$dir/work/models")
+      report.triggers.zipWithIndex.foreach { case (trigger, i) =>
+        val model = ModelFactory.model(p.modelId, p.modelConfig, p.sgd, p.seed)
+        model.setWeights(models.load(i))
+        evalSets.foreach { set =>
+          val features = storage.retrieve(set.keys, nThreads = 1).flatMap { c =>
+            (0 until c.size).iterator.map(j => (t(parser.parse(c.payloads(j))), c.labels(j).toInt))
+          }
+          assert(trigger.evals(set.name) == Evaluator.evaluate(model, features),
+            s"trigger ${trigger.triggerId}, set ${set.name}")
+        }
       }
       registry.close()
     }

@@ -2,6 +2,7 @@ package repro.datagen
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.TestOps._
 import repro.TestUtil.withTmpDir
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
 

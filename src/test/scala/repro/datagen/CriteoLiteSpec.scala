@@ -3,6 +3,7 @@ package repro.datagen
 import java.nio.{ByteBuffer, ByteOrder}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.TestOps._
 import repro.TestUtil.withTmpDir
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
 

@@ -2,6 +2,7 @@ package repro.selector
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.TestOps._
 import repro.TestUtil.withTmpDir
 import repro.storage.LocalFileSystemWrapper
 

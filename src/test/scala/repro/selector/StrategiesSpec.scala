@@ -2,6 +2,7 @@ package repro.selector
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.TestOps._
 import repro.TestUtil.withTmpDir
 import repro.storage.LocalFileSystemWrapper
 

@@ -1,6 +1,7 @@
 package repro.selector
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestOps._
 import repro.TestUtil.withTmpDir
 import repro.storage.LocalFileSystemWrapper
 

@@ -2,6 +2,7 @@ package repro.storage
 
 import java.nio.{ByteBuffer, ByteOrder}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestOps._
 import repro.TestUtil.withTmpDir
 
 class StorageServiceSpec extends AnyFunSuite {
@@ -10,14 +11,15 @@ class StorageServiceSpec extends AnyFunSuite {
   /** n files of m 16-byte records each; label(i,j) = file i * 1000 + idx j. */
   private def setup(dir: String, nFiles: Int, perFile: Int): (SampleRegistry, IndexedSeq[SampleMeta]) = {
     val r = new SampleRegistry
-    val metas = (0 until nFiles).flatMap { f =>
-      val bytes = new Array[Byte](perFile * 16)
-      val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
-      (0 until perFile).foreach(j => bb.putInt(j * 16, f * 1000 + j))
-      fs.write(s"$dir/f$f.bin", bytes)
-      r.ingestFile(fs, s"$dir/f$f.bin", FileWrapperType.Binary(16))
-    }
-    (r, metas)
+    (r, (0 until nFiles).flatMap(addFile(r, dir, _, perFile)))
+  }
+
+  private def addFile(r: SampleRegistry, dir: String, f: Int, perFile: Int): IndexedSeq[SampleMeta] = {
+    val bytes = new Array[Byte](perFile * 16)
+    val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
+    (0 until perFile).foreach(j => bb.putInt(j * 16, f * 1000 + j))
+    fs.write(s"$dir/f$f.bin", bytes)
+    r.ingestFile(fs, s"$dir/f$f.bin", FileWrapperType.Binary(16))
   }
 
   test("retrieveAll returns every requested key exactly once") {
@@ -143,6 +145,29 @@ class StorageServiceSpec extends AnyFunSuite {
         assert(got.labels(i) == m.label)
         assert(got.payloads(i).forall(_ == m.label.toByte))
       }
+      r.close()
+    }
+  }
+
+  test("retrieval of ingested keys stays correct while more files are ingested") {
+    withTmpDir { dir =>
+      val (r, metas) = setup(dir, 100, 2)
+      val svc  = new StorageService(r, fs, sendBufferSize = 16)
+      val keys = metas.map(_.key).toArray
+      val failure  = new java.util.concurrent.atomic.AtomicReference[Throwable](null)
+      val ingester = new Thread(() =>
+        try (100 until 400).foreach(addFile(r, dir, _, 2))
+        catch { case e: Throwable => failure.set(e) })
+      ingester.start()
+      var rounds = 0
+      while (rounds == 0 || ingester.isAlive) {
+        val got = svc.retrieveAll(keys, nThreads = 4)
+        assert(got.keys.zip(got.labels).toMap == metas.map(m => m.key -> m.label).toMap)
+        rounds += 1
+      }
+      ingester.join()
+      assert(failure.get() == null, s"ingestion failed: ${failure.get()}")
+      assert(r.files.size == 400 && r.numSamples == 800)
       r.close()
     }
   }

@@ -1,7 +1,8 @@
 package repro.trainer
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestUtil.withTmpDir
+import repro.TestOps._
+import repro.TestUtil.{roundRobin, withTmpDir}
 import repro.datagen.CriteoLite
 import repro.selector.{SelectedSample, TriggerSampleStorage, TriggerTrainingSet}
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
@@ -59,6 +60,35 @@ class OnlineDatasetSpec extends AnyFunSuite {
           s"workers=$workers prefetch=$prefetch parallel=$parallel: ${keys.size} keys")
       }
       r.close()
+    }
+  }
+
+  test("batches follow the round-robin order of the TSS worker shares") {
+    withTmpDir { dir =>
+      val registry = new SampleRegistry
+      val metas    = CriteoLite.generate(fs, registry, s"$dir/data", 300, samplesPerFile = 64)
+      val storage  = new StorageService(registry, fs, sendBufferSize = 50)
+      val tss      = new TriggerSampleStorage(fs, s"$dir/tss")
+      // Selection order differs from storage order, so each share is
+      // visibly re-sorted by retrieval (one storage thread: (file, idx)).
+      val selected = new scala.util.Random(5).shuffle(metas.map(m => SelectedSample(m.key, 1.0)))
+      val parts    = selected.grouped(40).toIndexedSeq
+      parts.zipWithIndex.foreach { case (p, i) => tss.writePartition(0, i, p, 3) }
+      val src = new TssSource(TriggerTrainingSet(0, parts.size, selected.size, tss))
+      for {
+        workers  <- Seq(1, 3)
+        prefetch <- Seq(0, 1, 2)
+        parallel <- Seq(1, 2)
+      } {
+        val perWorker = (0 until workers).map { w =>
+          (0 until src.numPartitions).flatMap(p => src.workerShare(p, w, workers)._1.sorted)
+        }
+        val ds = new OnlineDataset(src, storage, new CriteoBytesParser(16), IdentityTransform,
+          cfg(workers, prefetch, parallel, batch = 16))
+        assert(ds.batches().map(_.keys.toSeq).toSeq == roundRobin(perWorker, 16),
+          s"workers=$workers prefetch=$prefetch parallel=$parallel")
+      }
+      registry.close()
     }
   }
 
