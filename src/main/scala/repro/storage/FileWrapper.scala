@@ -19,10 +19,11 @@ trait FileWrapper {
   /** Payload bytes of the sample at `index` (0-based within the file). */
   def getSample(index: Int): Array[Byte]
 
-  /** Payloads for a sorted batch of in-file indices. Implementations may
-    * coalesce reads; the default delegates to [[getSample]].
+  /** Payloads for a sorted batch of in-file indices, in the same order.
+    * Implementations may coalesce reads; the default delegates to
+    * [[getSample]].
     */
-  def getSamples(indices: Seq[Int]): Seq[Array[Byte]] = indices.map(getSample)
+  def getSamples(indices: Array[Int]): Array[Array[Byte]] = indices.map(getSample)
 
   /** Label of the sample at `index`. */
   def getLabel(index: Int): Long
@@ -55,25 +56,23 @@ final class BinaryFileWrapper(fs: FileSystemWrapper, path: String, val recordSiz
     fs.read(path, index.toLong * recordSize, recordSize)
   }
 
-  override def getSamples(indices: Seq[Int]): Seq[Array[Byte]] = {
-    if (indices.isEmpty) return Seq.empty
+  override def getSamples(indices: Array[Int]): Array[Array[Byte]] = {
     // Coalesce runs of adjacent indices into a single ranged read.
-    val out   = Seq.newBuilder[Array[Byte]]
+    val out   = new Array[Array[Byte]](indices.length)
     var start = 0
-    val arr   = indices.toIndexedSeq
-    while (start < arr.length) {
+    while (start < indices.length) {
       var end = start
-      while (end + 1 < arr.length && arr(end + 1) == arr(end) + 1) end += 1
+      while (end + 1 < indices.length && indices(end + 1) == indices(end) + 1) end += 1
       val n     = end - start + 1
-      val chunk = fs.read(path, arr(start).toLong * recordSize, n * recordSize)
+      val chunk = fs.read(path, indices(start).toLong * recordSize, n * recordSize)
       var i = 0
       while (i < n) {
-        out += java.util.Arrays.copyOfRange(chunk, i * recordSize, (i + 1) * recordSize)
+        out(start + i) = java.util.Arrays.copyOfRange(chunk, i * recordSize, (i + 1) * recordSize)
         i += 1
       }
       start = end + 1
     }
-    out.result()
+    out
   }
 
   override def getLabel(index: Int): Long = {

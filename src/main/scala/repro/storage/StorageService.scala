@@ -1,6 +1,6 @@
 package repro.storage
 
-import java.util.concurrent.{ArrayBlockingQueue, TimeUnit}
+import java.util.concurrent.ArrayBlockingQueue
 import java.util.concurrent.atomic.AtomicReference
 
 /** One streamed unit of retrieved data — the paper's gRPC "send buffer"
@@ -64,11 +64,11 @@ final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
       private def advance(): Unit = {
         nextBatch = null
         while (nextBatch == null && remaining > 0) {
-          queue.poll(600, TimeUnit.SECONDS) match {
-            case null       => throw new IllegalStateException("storage retrieval timed out")
-            case Done       => remaining -= 1
+          // Every retrieval thread puts `Done` last, even when it fails.
+          queue.take() match {
+            case Done            => remaining -= 1
             case b: PayloadBatch => nextBatch = b
-            case other      => throw new IllegalStateException(s"unexpected $other")
+            case other           => throw new IllegalStateException(s"unexpected $other")
           }
         }
         if (nextBatch == null && failure.get() != null) throw failure.get()
@@ -116,13 +116,16 @@ final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
       while (j < metas.length && metas(j).fileId == fileId) j += 1
       val fm      = registry.fileMeta(fileId)
       val wrapper = FileWrapperType.instantiate(fm.wrapperType, fs, fm.path)
-      val run     = metas.slice(i, j)
-      val payloads = wrapper.getSamples(run.map(_.indexInFile).toIndexedSeq)
+      val indices = new Array[Int](j - i)
       var r = 0
-      while (r < run.length) {
-        bufKeys(fill) = run(r).key
+      while (r < indices.length) { indices(r) = metas(i + r).indexInFile; r += 1 }
+      val payloads = wrapper.getSamples(indices)
+      r = 0
+      while (r < indices.length) {
+        val m = metas(i + r)
+        bufKeys(fill) = m.key
         bufPayloads(fill) = payloads(r)
-        bufLabels(fill) = run(r).label
+        bufLabels(fill) = m.label
         fill += 1
         if (fill == sendBufferSize) flush()
         r += 1

@@ -119,7 +119,7 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
       val chunkQueues = IndexedSeq.fill(nParts)(new LinkedBlockingQueue[AnyRef]())
       val permits     = new Semaphore(cfg.prefetchedPartitions)
       val nextPart    = new AtomicInteger(0)
-      (0 until cfg.parallelPrefetchRequests).foreach { pf =>
+      val prefetchers = (0 until cfg.parallelPrefetchRequests).map { pf =>
         val t = new Thread(() => {
           try {
             var running = true
@@ -145,19 +145,28 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
         }, s"prefetch-$workerId-$pf")
         t.setDaemon(true)
         t.start()
+        t
       }
-      var p = 0
-      while (p < nParts && !out.failed) {
-        var done = false
-        while (!done) {
-          chunkQueues(p).take() match {
-            case PartitionDone => done = true
-            case r: RawChunk   => parseInto(r, out)
-            case other         => throw new IllegalStateException(s"unexpected $other")
+      try {
+        var p = 0
+        while (p < nParts && !out.failed) {
+          var done = false
+          while (!done) {
+            chunkQueues(p).take() match {
+              case PartitionDone => done = true
+              case r: RawChunk   => parseInto(r, out)
+              case other         => throw new IllegalStateException(s"unexpected $other")
+            }
           }
+          permits.release() // partition consumed: free its buffer slot
+          p += 1
         }
-        permits.release() // partition consumed: free its buffer slot
-        p += 1
+      } finally {
+        // Also when parsing failed: hand out no further partition and wake
+        // prefetch threads waiting for a buffer slot, so none outlives us.
+        nextPart.set(nParts)
+        permits.release(cfg.parallelPrefetchRequests)
+        prefetchers.foreach(_.join())
       }
     }
   }

@@ -2,8 +2,11 @@ package repro
 
 import java.nio.file.Files
 import java.util.Comparator
+import scala.jdk.CollectionConverters._
 
-/** Shared test helpers: temp-dir scoping and the expected batch order. */
+/** Shared test helpers: temp-dir scoping, the expected batch order and the
+  * live data-path threads.
+  */
 object TestUtil {
 
   /** Run `f` with a fresh temp directory, deleting it afterwards. */
@@ -33,4 +36,11 @@ object TestUtil {
     }
     out.result()
   }
+
+  /** Live dataloader worker and prefetch threads. */
+  def dataPathThreads(): Set[Thread] =
+    Thread.getAllStackTraces.keySet.asScala.filter { t =>
+      t.isAlive && Seq("online-dataset-worker-", "local-dataset-worker-", "prefetch-")
+        .exists(t.getName.startsWith)
+    }.toSet
 }

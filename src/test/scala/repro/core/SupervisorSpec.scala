@@ -6,6 +6,7 @@ import repro.TestUtil.withTmpDir
 import repro.datagen.{ClocLite, CriteoLite}
 import repro.evaluator.Evaluator
 import repro.modelstorage.ModelStorage
+import repro.selector.DuckDbBackend
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
 import repro.trainer.{ModelFactory, NormalizeTransform}
 
@@ -64,6 +65,22 @@ class SupervisorSpec extends SparkSpec {
       // A trained model beats random guessing (1/6) on its training year.
       val lastAcc = report.accuracyMatrix((3, "2007"))
       assert(lastAcc > 1.0 / 6, s"accuracy $lastAcc")
+      registry.close()
+    }
+  }
+
+  test("the metadata backend is closed when training fails") {
+    withTmpDir { dir =>
+      val registry = new SampleRegistry
+      ClocLite.generate(fs, registry, s"$dir/data", 20, 4, 16, years = 2004 to 2005)
+      // Training cannot read payloads whose files are gone.
+      fs.list(s"$dir/data").filterNot(_.endsWith(".label")).foreach(fs.delete)
+      var backend: DuckDbBackend = null
+      val sup = new Supervisor(clocPipeline("database"), registry,
+        new StorageService(registry, fs), fs, s"$dir/work",
+        backendFactory = (_, _, _, _) => { backend = new DuckDbBackend; backend })
+      intercept[java.io.IOException] { sup.runExperiment(replayBatchSize = 25) }
+      intercept[java.sql.SQLException] { backend.count }
       registry.close()
     }
   }

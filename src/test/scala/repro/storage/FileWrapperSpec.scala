@@ -7,8 +7,10 @@ import repro.TestUtil.withTmpDir
 class FileWrapperSpec extends AnyFunSuite {
   private val fs = new LocalFileSystemWrapper
 
-  /** A binary file of n records: label = i * 10, payload body = i bytes. */
-  private def writeBinary(path: String, n: Int, recordSize: Int): Unit = {
+  /** A binary file of n records: label = i * 10, payload body = i bytes.
+    * Returns the file's bytes.
+    */
+  private def writeBinary(path: String, n: Int, recordSize: Int): Array[Byte] = {
     val bytes = new Array[Byte](n * recordSize)
     val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
     (0 until n).foreach { i =>
@@ -16,6 +18,17 @@ class FileWrapperSpec extends AnyFunSuite {
       (4 until recordSize).foreach(off => bytes(i * recordSize + off) = i.toByte)
     }
     fs.write(path, bytes)
+    bytes
+  }
+
+  /** `got(r)` is record `indices(r)` of `file`, byte for byte. */
+  private def assertRecords(got: Array[Array[Byte]], indices: Array[Int],
+                            file: Array[Byte], recordSize: Int): Unit = {
+    assert(got.length == indices.length)
+    indices.indices.foreach { r =>
+      val i = indices(r)
+      assert(got(r).toSeq == file.slice(i * recordSize, (i + 1) * recordSize).toSeq, s"index $i")
+    }
   }
 
   // ---------------- BinaryFileWrapper ----------------
@@ -74,7 +87,7 @@ class FileWrapperSpec extends AnyFunSuite {
     withTmpDir { dir =>
       writeBinary(s"$dir/a.bin", 20, 16)
       val w   = new BinaryFileWrapper(fs, s"$dir/a.bin", 16)
-      val idx = Seq(0, 1, 2, 5, 9, 10, 11, 19)
+      val idx = Array(0, 1, 2, 5, 9, 10, 11, 19)
       val got = w.getSamples(idx)
       assert(got.size == idx.size)
       got.zip(idx).foreach { case (payload, i) =>
@@ -87,7 +100,30 @@ class FileWrapperSpec extends AnyFunSuite {
     withTmpDir { dir =>
       writeBinary(s"$dir/a.bin", 3, 16)
       val w = new BinaryFileWrapper(fs, s"$dir/a.bin", 16)
-      assert(w.getSamples(Seq.empty).isEmpty)
+      assert(w.getSamples(Array.empty[Int]).isEmpty)
+    }
+  }
+
+  test("binary: getSamples returns all 50 k records of a file in order") {
+    withTmpDir { dir =>
+      val file = writeBinary(s"$dir/a.bin", 50000, 16)
+      val w    = new BinaryFileWrapper(fs, s"$dir/a.bin", 16)
+      val idx  = Array.range(0, 50000)
+      val got  = w.getSamples(idx)
+      assertRecords(got, idx, file, 16)
+      got.zipWithIndex.foreach { case (payload, i) =>
+        assert(ByteBuffer.wrap(payload).order(ByteOrder.LITTLE_ENDIAN).getInt == i * 10)
+      }
+    }
+  }
+
+  test("binary: getSamples mixes single records and long runs") {
+    withTmpDir { dir =>
+      val file = writeBinary(s"$dir/a.bin", 5000, 24)
+      val w    = new BinaryFileWrapper(fs, s"$dir/a.bin", 24)
+      val idx  = (Seq(0, 2) ++ (4 until 1500) ++ Seq(1502, 1600, 1601, 1700) ++
+        (1702 until 4990) ++ Seq(4995, 4999)).toArray
+      assertRecords(w.getSamples(idx), idx, file, 24)
     }
   }
 

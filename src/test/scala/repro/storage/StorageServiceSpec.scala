@@ -2,6 +2,9 @@ package repro.storage
 
 import java.nio.{ByteBuffer, ByteOrder}
 import org.scalatest.funsuite.AnyFunSuite
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration._
 import repro.TestOps._
 import repro.TestUtil.withTmpDir
 
@@ -100,6 +103,52 @@ class StorageServiceSpec extends AnyFunSuite {
         svc.retrieve(Array(metas.last.key + 1000), 1).toSeq
       }
       assert(ex.getMessage.contains("unknown sample keys"))
+      r.close()
+    }
+  }
+
+  test("a retrieval thread failing after it emitted buffers fails the consumer") {
+    withTmpDir { dir =>
+      val (r, metas) = setup(dir, 2, 40)
+      // One thread reads f0 first; its 40 samples fill four 10-sample
+      // buffers before the missing f1 fails the thread.
+      fs.delete(s"$dir/f1.bin")
+      val svc = new StorageService(r, fs, sendBufferSize = 10)
+      val consumer = Future(svc.retrieve(metas.map(_.key).toArray, nThreads = 1).toList)
+      intercept[java.nio.file.NoSuchFileException] { Await.result(consumer, 60.seconds) }
+      r.close()
+    }
+  }
+
+  test("one request over a 50 k-record file returns every payload and label in order") {
+    withTmpDir { dir =>
+      val (r, metas) = setup(dir, 1, 50000)
+      val svc = new StorageService(r, fs)
+      val got = svc.retrieveAll(metas.map(_.key).toArray, nThreads = 1)
+      assert(got.keys.toSeq == metas.map(_.key))
+      metas.indices.foreach { j =>
+        assert(got.labels(j) == j)
+        assert(ByteBuffer.wrap(got.payloads(j)).order(ByteOrder.LITTLE_ENDIAN).getInt == j)
+      }
+      r.close()
+    }
+  }
+
+  test("scattered keys mixing single samples and long runs come back in file order") {
+    withTmpDir { dir =>
+      val (r, metas) = setup(dir, 3, 2000)
+      val idx  = Seq(0, 2) ++ (4 until 1500) ++ Seq(1502, 1999, 2000, 2700) ++
+        (2702 until 5990) ++ Seq(5995, 5999)
+      val svc  = new StorageService(r, fs, sendBufferSize = 700)
+      val keys = new scala.util.Random(3).shuffle(idx.map(metas(_).key)).toArray
+      val got  = svc.retrieveAll(keys, nThreads = 1)
+      // One thread emits (file, index) order, which is key order here.
+      assert(got.keys.toSeq == idx.map(metas(_).key))
+      idx.zipWithIndex.foreach { case (i, pos) =>
+        assert(got.labels(pos) == metas(i).label)
+        assert(ByteBuffer.wrap(got.payloads(pos)).order(ByteOrder.LITTLE_ENDIAN).getInt ==
+          metas(i).label)
+      }
       r.close()
     }
   }

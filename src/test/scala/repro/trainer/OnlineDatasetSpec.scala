@@ -2,7 +2,7 @@ package repro.trainer
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestOps._
-import repro.TestUtil.{roundRobin, withTmpDir}
+import repro.TestUtil.{dataPathThreads, roundRobin, withTmpDir}
 import repro.datagen.CriteoLite
 import repro.selector.{SelectedSample, TriggerSampleStorage, TriggerTrainingSet}
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
@@ -186,6 +186,31 @@ class OnlineDatasetSpec extends AnyFunSuite {
       val ds = new OnlineDataset(src, storage, new CriteoBytesParser(16),
         IdentityTransform, cfg(1, prefetch = 1))
       intercept[NoSuchElementException] { ds.batches().toSeq }
+      r.close()
+    }
+  }
+
+  test("a parse failure mid-batch reaches the consumer and leaves no thread behind") {
+    withTmpDir { dir =>
+      val (r, storage, tts) = setup(dir, 300, partitionSize = 40)
+      // Worker 0 of 2 starts on keys 1..20: it fails on key 9, half-way
+      // into its first 16-sample batch, while its prefetch threads wait
+      // for buffer slots.
+      val bad    = CriteoLite.record(9L, 42L).toSeq
+      val inner  = new CriteoBytesParser(16)
+      val parser = new BytesParser {
+        override def dim: Int = inner.dim
+        override def parse(payload: Array[Byte]): Array[Float] =
+          if (payload.toSeq == bad) throw new IllegalStateException("bad record")
+          else inner.parse(payload)
+      }
+      for (parallel <- Seq(1, 2)) {
+        val before = dataPathThreads()
+        val ds = new OnlineDataset(new TssSource(tts), storage, parser, IdentityTransform,
+          cfg(2, prefetch = 2, parallel = parallel, batch = 16))
+        intercept[IllegalStateException] { ds.batches().foreach(_ => ()) }
+        assert((dataPathThreads() -- before).isEmpty, s"parallel=$parallel")
+      }
       r.close()
     }
   }
